@@ -1,15 +1,29 @@
 //! Engine factory and shared helpers.
 
 use oltp::{CcPolicy, Db};
-use uarch_sim::Sim;
+use uarch_sim::{ModuleId, ModuleSpec, Sim};
 
+use crate::dbms_m::{DbmsM, DbmsMOptions};
+use crate::disk::{DbmsD, ShoreMt};
+use crate::durability::DurableDb;
+use crate::partitioned::{HyPer, VoltDb};
 use crate::placement::Placement;
 
-use crate::dbms_d::DbmsD;
-use crate::dbms_m::{DbmsM, DbmsMOptions};
-use crate::hyper::HyPer;
-use crate::shore_mt::ShoreMt;
-use crate::voltdb::VoltDb;
+/// A code module's shape: name, footprint in KiB, dynamic reuse and
+/// branchiness (see [`ModuleSpec`]).
+pub struct ModDef(pub &'static str, pub u32, pub f64, pub f64);
+
+/// Register `def` with the simulator; `engine_side` marks storage-manager
+/// code for the paper's Figure 7 split.
+pub(crate) fn module(sim: &Sim, def: ModDef, engine_side: bool) -> ModuleId {
+    let ModDef(name, kib, reuse, branchiness) = def;
+    sim.register_module(
+        ModuleSpec::new(name, kib << 10)
+            .reuse(reuse)
+            .branchiness(branchiness)
+            .engine_side(engine_side),
+    )
+}
 
 /// Index choice for DBMS M (§6.1: "hash index and a variant of
 /// cache-conscious B-tree index").
@@ -91,7 +105,7 @@ impl SystemKind {
 /// Build a system on `sim` with `partitions` data partitions (partitioned
 /// engines route by core; the others ignore the count beyond sizing).
 pub fn build_system(kind: SystemKind, sim: &Sim, partitions: usize) -> Box<dyn Db> {
-    build_system_cc_inner(
+    build_engine(
         kind,
         sim,
         partitions,
@@ -100,43 +114,19 @@ pub fn build_system(kind: SystemKind, sim: &Sim, partitions: usize) -> Box<dyn D
     )
 }
 
-/// Shared factory body behind both [`build_system`] and
+/// Shared factory body behind [`build_system`] and
 /// [`crate::SystemBuilder`]. Installs the placement policy's data homes on
 /// the simulator, then hands the partitioned engines their placement so
-/// partition allocations carry the right home tag.
-pub(crate) fn build_system_cc_inner(
+/// partition allocations carry the right home tag. Typed as [`DurableDb`]
+/// so durable callers can switch the log(s) into durable mode and harvest
+/// them for recovery; everyone else uses it as a plain [`Db`].
+pub(crate) fn build_engine(
     kind: SystemKind,
     sim: &Sim,
     partitions: usize,
     policy: CcPolicy,
     placement: Placement,
-) -> Box<dyn Db> {
-    if kind.partitioned() {
-        placement.install(sim, partitions);
-    }
-    match kind {
-        SystemKind::ShoreMt => Box::new(ShoreMt::with_cc(sim, policy)),
-        SystemKind::DbmsD => Box::new(DbmsD::with_cc(sim, policy)),
-        SystemKind::VoltDb => Box::new(VoltDb::with_cc_placed(sim, partitions, policy, placement)),
-        SystemKind::HyPer => Box::new(HyPer::with_cc_placed(sim, partitions, policy, placement)),
-        SystemKind::DbmsM { index, compiled } => Box::new(DbmsM::with_cc(
-            sim,
-            DbmsMOptions { index, compiled },
-            policy,
-        )),
-    }
-}
-
-/// [`build_system_cc_inner`]'s durable twin: the same construction, typed
-/// as [`crate::durability::DurableDb`] so callers can switch the log(s)
-/// into durable mode and harvest them for recovery.
-pub(crate) fn build_system_durable_inner(
-    kind: SystemKind,
-    sim: &Sim,
-    partitions: usize,
-    policy: CcPolicy,
-    placement: Placement,
-) -> Box<dyn crate::durability::DurableDb> {
+) -> Box<dyn DurableDb> {
     if kind.partitioned() {
         placement.install(sim, partitions);
     }

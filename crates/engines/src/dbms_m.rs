@@ -31,9 +31,10 @@ use oltp::{
     TableId, Value,
 };
 use storage::{mvcc::InstallOutcome, LogKind, RowId, TxnId, TxnManager, VersionStore, Wal};
-use uarch_sim::{CorePort, Mem, ModuleId, ModuleSpec, Sim};
+use uarch_sim::{CorePort, Mem, ModuleId, Sim};
 
 pub use crate::common::DbmsMIndex;
+use crate::common::{module, ModDef};
 
 /// Engine name used for span attribution (matches [`Db::name`]).
 const ENGINE: &str = "DBMS M";
@@ -191,57 +192,15 @@ impl DbmsM {
     /// validation through the [`VersionStore`].
     pub fn with_cc(sim: &Sim, opts: DbmsMOptions, policy: CcPolicy) -> Self {
         let m = Mods {
-            net: sim.register_module(
-                ModuleSpec::new("dbmsm/network", 36 << 10)
-                    .reuse(1.5)
-                    .branchiness(0.26),
-            ),
-            session: sim.register_module(
-                ModuleSpec::new("dbmsm/session-legacy", 44 << 10)
-                    .reuse(1.4)
-                    .branchiness(0.32),
-            ),
-            exec: sim.register_module(
-                ModuleSpec::new("dbmsm/executor-legacy", 36 << 10)
-                    .reuse(1.6)
-                    .branchiness(0.26),
-            ),
-            txn: sim.register_module(
-                ModuleSpec::new("dbmsm/txn-ts", 16 << 10)
-                    .reuse(2.0)
-                    .branchiness(0.18)
-                    .engine_side(true),
-            ),
-            sm_compiled: sim.register_module(
-                ModuleSpec::new("dbmsm/sm-compiled", 10 << 10)
-                    .reuse(4.5)
-                    .branchiness(0.02)
-                    .engine_side(true),
-            ),
-            sm_interp: sim.register_module(
-                ModuleSpec::new("dbmsm/sm-interp", 80 << 10)
-                    .reuse(1.35)
-                    .branchiness(0.22)
-                    .engine_side(true),
-            ),
-            index: sim.register_module(
-                ModuleSpec::new("dbmsm/index", 14 << 10)
-                    .reuse(2.6)
-                    .branchiness(0.14)
-                    .engine_side(true),
-            ),
-            mvcc: sim.register_module(
-                ModuleSpec::new("dbmsm/version-store", 16 << 10)
-                    .reuse(2.4)
-                    .branchiness(0.16)
-                    .engine_side(true),
-            ),
-            log: sim.register_module(
-                ModuleSpec::new("dbmsm/log", 14 << 10)
-                    .reuse(2.2)
-                    .branchiness(0.16)
-                    .engine_side(true),
-            ),
+            net: module(sim, ModDef("dbmsm/network", 36, 1.5, 0.26), false),
+            session: module(sim, ModDef("dbmsm/session-legacy", 44, 1.4, 0.32), false),
+            exec: module(sim, ModDef("dbmsm/executor-legacy", 36, 1.6, 0.26), false),
+            txn: module(sim, ModDef("dbmsm/txn-ts", 16, 2.0, 0.18), true),
+            sm_compiled: module(sim, ModDef("dbmsm/sm-compiled", 10, 4.5, 0.02), true),
+            sm_interp: module(sim, ModDef("dbmsm/sm-interp", 80, 1.35, 0.22), true),
+            index: module(sim, ModDef("dbmsm/index", 14, 2.6, 0.14), true),
+            mvcc: module(sim, ModDef("dbmsm/version-store", 16, 2.4, 0.16), true),
+            log: module(sim, ModDef("dbmsm/log", 14, 2.2, 0.16), true),
         };
         let mem = sim.mem(0);
         let inner = Inner {
@@ -263,16 +222,6 @@ impl DbmsM {
         }
     }
 
-    /// Enable durable-log record retention (for crash-replay testing).
-    pub fn retain_log(&mut self) {
-        self.shared.inner.lock().unwrap().wal.retain_records(true);
-    }
-
-    /// The retained log records (see [`storage::recovery`]).
-    pub fn log_records(&self) -> Vec<storage::wal::LogRecord> {
-        self.shared.inner.lock().unwrap().wal.records().to_vec()
-    }
-
     /// Transactions aborted by commit-time validation (diagnostics).
     pub fn validation_aborts(&self) -> u64 {
         self.shared.inner.lock().unwrap().validation_aborts
@@ -280,38 +229,9 @@ impl DbmsM {
 }
 
 impl crate::durability::DurableDb for DbmsM {
-    fn enable_durability(&mut self, cfg: &crate::durability::DurabilityCfg) {
+    fn visit_logs(&self, f: &mut dyn FnMut(usize, &mut Wal, &Mem)) {
         let mem = self.shared.sim.mem(0).with_module(self.shared.m.log);
-        let inner = &mut *self.shared.inner.lock().unwrap();
-        crate::durability::configure_wal(&mut inner.wal, &mem, cfg);
-    }
-
-    fn log_streams(&self) -> Vec<Vec<storage::wal::LogRecord>> {
-        vec![self.shared.inner.lock().unwrap().wal.records().to_vec()]
-    }
-
-    fn log_status(&self) -> Vec<crate::durability::LogStatus> {
-        vec![crate::durability::wal_status(
-            0,
-            &self.shared.inner.lock().unwrap().wal,
-        )]
-    }
-
-    fn flush_all(&mut self) {
-        let mem = self.shared.sim.mem(0).with_module(self.shared.m.log);
-        let inner = &mut *self.shared.inner.lock().unwrap();
-        if inner.wal.flushed() < inner.wal.horizon() {
-            inner.wal.flush(&mem);
-        }
-    }
-
-    fn take_commit_latencies(&mut self) -> Vec<f64> {
-        self.shared
-            .inner
-            .lock()
-            .unwrap()
-            .wal
-            .take_commit_latencies()
+        f(0, &mut self.shared.inner.lock().unwrap().wal, &mem);
     }
 }
 

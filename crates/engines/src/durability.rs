@@ -65,7 +65,15 @@ pub struct LogStatus {
 }
 
 /// A [`Db`] whose log(s) can be made durable and harvested for recovery.
+///
+/// Engines supply only [`DurableDb::visit_logs`]; every other method runs
+/// over it.
 pub trait DurableDb: Db {
+    /// Visit each log stream in stream order (partitioned engines: index =
+    /// partition; one engine-wide stream otherwise) with its WAL and the
+    /// log module's memory port on core `stream % cores`.
+    fn visit_logs(&self, f: &mut dyn FnMut(usize, &mut Wal, &Mem));
+
     /// Switch the engine's log(s) into durable mode. Call before loading
     /// or running transactions (records appended earlier are not
     /// retained). Calling again re-applies the configuration and
@@ -73,44 +81,57 @@ pub trait DurableDb: Db {
     /// retained records; harnesses use this to shed the device backlog
     /// an offline bulk load accumulates while the cycle clock stands
     /// still.
-    fn enable_durability(&mut self, cfg: &DurabilityCfg);
+    fn enable_durability(&mut self, cfg: &DurabilityCfg) {
+        self.visit_logs(&mut |_, wal, mem| {
+            wal.retain_records(true);
+            wal.set_group_size(cfg.epoch);
+            wal.set_high_water(cfg.high_water.unwrap_or_else(|| wal.buf_size()));
+            if cfg.device {
+                wal.attach_device(mem, cfg.profile);
+            }
+        });
+    }
 
-    /// The retained records of every log stream, in stream order
-    /// (partitioned engines: index = partition). Includes unflushed
-    /// records — the harness truncates at [`LogStatus::flushed`] to model
-    /// what survives a crash.
-    fn log_streams(&self) -> Vec<Vec<LogRecord>>;
+    /// The retained records of every log stream, in stream order.
+    /// Includes unflushed records — the harness truncates at
+    /// [`LogStatus::flushed`] to model what survives a crash.
+    fn log_streams(&self) -> Vec<Vec<LogRecord>> {
+        let mut out = Vec::new();
+        self.visit_logs(&mut |_, wal, _| out.push(wal.records().to_vec()));
+        out
+    }
 
     /// Current horizon/flushed coordinates of every stream.
-    fn log_status(&self) -> Vec<LogStatus>;
+    fn log_status(&self) -> Vec<LogStatus> {
+        let mut out = Vec::new();
+        self.visit_logs(&mut |stream, wal, _| {
+            out.push(LogStatus {
+                stream,
+                horizon: wal.horizon(),
+                flushed: wal.flushed(),
+                stats: wal.stats(),
+                device: wal.device_stats(),
+            })
+        });
+        out
+    }
 
     /// Force a group flush on every stream (the checkpoint-complete
     /// barrier and the end-of-run drain).
-    fn flush_all(&mut self);
+    fn flush_all(&mut self) {
+        self.visit_logs(&mut |_, wal, mem| {
+            if wal.flushed() < wal.horizon() {
+                wal.flush(mem);
+            }
+        });
+    }
 
     /// Drain the per-commit latency samples (simulated cycles between a
     /// Commit append and its group's device completion) from every
     /// stream. Empty unless a device is attached.
-    fn take_commit_latencies(&mut self) -> Vec<f64>;
-}
-
-/// Apply `cfg` to one WAL (shared by every engine's implementation).
-pub(crate) fn configure_wal(wal: &mut Wal, mem: &Mem, cfg: &DurabilityCfg) {
-    wal.retain_records(true);
-    wal.set_group_size(cfg.epoch);
-    wal.set_high_water(cfg.high_water.unwrap_or_else(|| wal.buf_size()));
-    if cfg.device {
-        wal.attach_device(mem, cfg.profile);
-    }
-}
-
-/// Snapshot one WAL's durability coordinates.
-pub(crate) fn wal_status(stream: usize, wal: &Wal) -> LogStatus {
-    LogStatus {
-        stream,
-        horizon: wal.horizon(),
-        flushed: wal.flushed(),
-        stats: wal.stats(),
-        device: wal.device_stats(),
+    fn take_commit_latencies(&mut self) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.visit_logs(&mut |_, wal, _| out.extend(wal.take_commit_latencies()));
+        out
     }
 }

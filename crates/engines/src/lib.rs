@@ -1,14 +1,26 @@
 //! # engines — the five analyzed OLTP systems
 //!
-//! One module per archetype:
+//! Four of the five archetypes are *profiles* over one of two engine
+//! families; DBMS M keeps its own module because its multi-version store
+//! shares no operation path with the others:
 //!
-//! | Module | Paper system | Storage | CC | Index | Txn code |
-//! |---|---|---|---|---|---|
-//! | [`shore_mt`] | Shore-MT | buffer pool + heap pages | 2PL | 8 KB B+tree | hard-coded C++ plans, *no* layers outside the storage manager |
-//! | [`dbms_d`] | DBMS D (commercial disk-based) | buffer pool + heap pages | 2PL | 8 KB B+tree | full stack: network, parser, optimizer, interpreted executor |
-//! | [`voltdb`] | VoltDB CE 4.8 | per-partition row store | serial per partition (no locks) | cache-conscious B+tree | interpreted stored procedures behind a Java-runtime-like layer |
-//! | [`hyper`] | HyPer | per-partition row store | serial per partition | ART | transactions compiled to machine code (tiny instruction footprint) |
-//! | [`dbms_m`] | DBMS M (commercial in-memory) | multi-version store | optimistic MVCC | hash **or** cc-B+tree | compiled storage-manager ops under a large legacy frontend |
+//! | Family | Profile | Paper system | Storage | CC | Index | Txn code |
+//! |---|---|---|---|---|---|---|
+//! | [`disk`] | [`disk::ShoreMtProfile`] | Shore-MT | buffer pool + heap pages | 2PL | 8 KB B+tree | hard-coded C++ plans, *no* layers outside the storage manager |
+//! | [`disk`] | [`disk::DbmsDProfile`] | DBMS D (commercial disk-based) | buffer pool + heap pages | 2PL | 8 KB B+tree | full stack: network, parser, optimizer, interpreted executor |
+//! | [`partitioned`] | [`partitioned::VoltDbProfile`] | VoltDB CE 4.8 | per-partition row store | serial per partition (no locks) | cache-conscious B+tree | interpreted stored procedures behind a Java-runtime-like layer |
+//! | [`partitioned`] | [`partitioned::HyPerProfile`] | HyPer | per-partition row store | serial per partition | ART | transactions compiled to machine code (tiny instruction footprint) |
+//! | [`dbms_m`] | — | DBMS M (commercial in-memory) | multi-version store | optimistic MVCC | hash **or** cc-B+tree | compiled storage-manager ops under a large legacy frontend |
+//!
+//! A family ([`disk::DiskEngine`], [`partitioned::PartitionedEngine`])
+//! owns the storage, CC, logging and index paths; a profile is a type
+//! parameter that supplies the system's cost table, code modules, index
+//! type, frontend hooks and span/metric/fault-site names. The shared code
+//! calls the profile and never asks which system it serves, so two systems
+//! of one family differ only along the axes their profiles name, and
+//! adding an archetype means adding a profile. [`ShoreMt`], [`DbmsD`],
+//! [`VoltDb`] and [`HyPer`] are the family types instantiated with their
+//! profiles.
 //!
 //! Every engine implements [`oltp::Db`], and every worker drives an
 //! [`oltp::Session`] opened with [`oltp::Db::session`]. Each engine
@@ -47,21 +59,17 @@
 
 pub mod builder;
 pub mod common;
-pub mod dbms_d;
 pub mod dbms_m;
+pub mod disk;
 pub mod durability;
-pub mod hyper;
+pub mod partitioned;
 pub mod placement;
-pub mod shore_mt;
-pub mod voltdb;
 
 pub use builder::SystemBuilder;
 pub use common::{build_system, DbmsMIndex, SystemKind};
-pub use dbms_d::DbmsD;
 pub use dbms_m::{DbmsM, DbmsMOptions};
+pub use disk::{DbmsD, ShoreMt};
 pub use durability::{DurabilityCfg, DurableDb, LogStatus};
-pub use hyper::HyPer;
 pub use oltp::cc::CcPolicy;
+pub use partitioned::{HyPer, VoltDb};
 pub use placement::Placement;
-pub use shore_mt::ShoreMt;
-pub use voltdb::VoltDb;
