@@ -169,7 +169,8 @@ fn main() {
             return;
         }
         "checks" => {
-            for c in f.checks() {
+            let checks = f.checks();
+            for c in &checks {
                 println!(
                     "[{}] {}: {} ({})",
                     if c.pass { "PASS" } else { "FAIL" },
@@ -178,7 +179,8 @@ fn main() {
                     c.detail
                 );
             }
-            return;
+            // A failed shape check fails the command, as in `figures all`.
+            std::process::exit(if checks.iter().all(|c| c.pass) { 0 } else { 1 });
         }
         other => {
             if other != "help" {
